@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateCurve, GenericityViolation
 from .params import OneDimParam
-from .polynomials import (
-    BiPoly,
-    UniPoly,
-    first_subresultant_x2,
-    gcd,
-    homogenized_substitute,
-    partial,
-    resultant_x2,
-    squarefree_part,
-)
+from .polynomials import UniPoly, gcd, homogenized_substitute, partial
 from .realroot import isolate
 
 __all__ = ["ApparentResult", "apparent_singularities", "apparent_abscissas"]
@@ -52,32 +43,20 @@ class ApparentResult:
 def apparent_singularities(C: OneDimParam) -> ApparentResult:
     """Square-free q_app whose real roots are the apparent-node abscissas.
 
-    Steps: R = Res_x2(omega, d omega/d x2); R_star its square-free part;
-    q = gcd(R_star, R') / gcd(R_star, R', R'') keeps exactly the double
-    roots of R (node and vertical-tangent candidates); the criterion
-    A = w_x2x2 * rho3_x1 - w_x1x2 * rho3_x2, homogenized in x2 and evaluated
-    at the double ordinate -sr10/sr1, yields B; abscissas where B vanishes
-    are images of genuine space-curve singularities and are removed:
-    q_app = q / gcd(q, B).
+    Steps: the curve's elimination supplies R, its square-free part R_star,
+    the factor q keeping exactly the double roots of R (node and
+    vertical-tangent candidates) and the first subresultant sr1*x2 + sr10;
+    the criterion A = w_x2x2 * rho3_x1 - w_x1x2 * rho3_x2, homogenized in x2
+    and evaluated at the double ordinate -sr10/sr1, yields B; abscissas
+    where B vanishes are images of genuine space-curve singularities and are
+    removed: q_app = q / gcd(q, B).
     """
-    w = C.omega
-    d2 = w.deg_x2
-    if d2 < 1:
+    if C.omega.deg_x2 < 1:
         raise DegenerateCurve("omega does not involve x2")
-    wy = partial(w, "x2")
-    R = resultant_x2(w, wy) if d2 >= 2 else UniPoly.one()
-    if R.is_zero:
+    E = C.elimination
+    if E.R.is_zero:
         raise DegenerateCurve("resultant of omega and its x2-partial vanishes")
-    R_star = squarefree_part(R) if R.degree >= 1 else UniPoly.one()
-    dR = R.derivative()
-    a = gcd(R_star, dR) if not dR.is_zero else R_star
-    b = gcd(a, dR.derivative()) if a.degree >= 1 else a
-    q = a.exact_div(b).monic() if a.degree >= 1 else UniPoly.one()
-
-    if d2 >= 2:
-        sr1, sr10 = first_subresultant_x2(w, wy)
-    else:
-        sr1, sr10 = UniPoly.one(), UniPoly.zero()
+    R, R_star, q, sr1, sr10 = E.R, E.R_star, E.q, E.sr1, E.sr10
 
     if C.n == 2 or q.degree < 1:
         return ApparentResult(UniPoly.one(), R, R_star, q, sr1, sr10, None)
@@ -86,6 +65,7 @@ def apparent_singularities(C: OneDimParam) -> ApparentResult:
         raise GenericityViolation("first subresultant vanishes identically")
 
     rho3 = C.rhos[0]
+    wy = C.d_omega_x2
     A = (partial(wy, "x2") * partial(rho3, "x1")
          - partial(wy, "x1") * partial(rho3, "x2"))
     B = homogenized_substitute(A, -sr10, sr1) if not A.is_zero else UniPoly.zero()

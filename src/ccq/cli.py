@@ -4,8 +4,7 @@
                                              [--components-only] [--eps RAT]
 
 Exit codes: 0 success, 2 invalid input, 3 parse error, 4 genericity
-violation, 5 internal degeneracy.  The environment variable CCQ_THREADS
-bounds per-fiber parallelism.
+violation, 5 internal degeneracy.
 """
 
 from __future__ import annotations

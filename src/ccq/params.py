@@ -13,16 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CriticalPoint
 from .polynomials import (
     BiPoly,
     UniPoly,
     eval_fiber,
+    first_subresultant_x2,
     gcd,
     homogenized_substitute,
     partial,
     resultant_x2,
+    squarefree_part,
 )
 from . import realroot
 from .realroot import AlgebraicNumber, sign_at
@@ -30,6 +33,7 @@ from .realroot import AlgebraicNumber, sign_at
 __all__ = [
     "ZeroDimParam",
     "OneDimParam",
+    "Elimination",
     "ValidationReport",
     "validate_zero_dim",
     "validate_one_dim",
@@ -53,16 +57,22 @@ class ZeroDimParam:
         """Projection to the first two coordinates: keeps only theta_2."""
         return ZeroDimParam(2, self.lam, self.thetas[:1])
 
-    def points_exact(self):
-        """The encoded points, for an all-rational-roots lam. Exact."""
-        dlam = self.lam.derivative()
-        pts = []
-        for root in realroot.isolate(self.lam):
-            if not root.is_rational:
-                raise ValueError("points_exact requires rational roots")
-            b = root.value
-            pts.append((b,) + tuple(t(b) / dlam(b) for t in self.thetas))
-        return pts
+
+@dataclass(frozen=True)
+class Elimination:
+    """Elimination of x2 from omega = d omega/d x2 = 0.
+
+    R = Res_x2(omega, d omega/d x2); R_star is its monic square-free part;
+    q = gcd(R_star, R') / gcd(R_star, R', R'') keeps exactly the double roots
+    of R; the first subresultant is S1 = sr1 * x2 + sr10.  When R vanishes
+    identically (omega not square-free) only R is set.
+    """
+
+    R: UniPoly
+    R_star: UniPoly | None = None
+    q: UniPoly | None = None
+    sr1: UniPoly | None = None
+    sr10: UniPoly | None = None
 
 
 @dataclass(frozen=True)
@@ -76,9 +86,26 @@ class OneDimParam:
     def __post_init__(self):
         object.__setattr__(self, "rhos", tuple(self.rhos))
 
-    @property
+    @cached_property
     def d_omega_x2(self) -> BiPoly:
         return partial(self.omega, "x2")
+
+    @cached_property
+    def elimination(self) -> Elimination:
+        """The elimination of x2, computed once per curve; needs deg_x2 omega >= 1."""
+        one = UniPoly.one()
+        if self.omega.deg_x2 < 2:
+            return Elimination(one, one, one, one, UniPoly.zero())
+        R = resultant_x2(self.omega, self.d_omega_x2)
+        if R.is_zero:
+            return Elimination(R)
+        R_star = squarefree_part(R) if R.degree >= 1 else one
+        dR = R.derivative()
+        a = gcd(R_star, dR) if not dR.is_zero else R_star
+        b = gcd(a, dR.derivative()) if a.degree >= 1 else a
+        q = a.exact_div(b).monic() if a.degree >= 1 else one
+        sr1, sr10 = first_subresultant_x2(self.omega, self.d_omega_x2)
+        return Elimination(R, R_star, q, sr1, sr10)
 
 
 @dataclass
@@ -147,8 +174,7 @@ def validate_one_dim(C: OneDimParam) -> ValidationReport:
     if not (lead1.degree == 0 and lead1.lc == 1):
         rep.warn("NotMonicInX1: leading x1-coefficient of omega is not 1")
     if d2 >= 2 and rep.ok:
-        R = resultant_x2(w, partial(w, "x2"))
-        if R.is_zero:
+        if C.elimination.R.is_zero:
             rep.fail("NotSquareFree: omega has a repeated factor (vanishing discriminant)")
     for i, r in enumerate(C.rhos, start=3):
         if r.deg_x2 >= d2:

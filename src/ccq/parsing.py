@@ -170,6 +170,12 @@ class _Parser:
                          f"{t.text or 'end of input'}", t.line, t.col)
 
 
+def _exponent(v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise ParseError(f"exponent must be a non-negative integer, got {v!r}")
+    return v
+
+
 def _coeff(v) -> Fraction:
     if isinstance(v, str):
         try:
@@ -184,13 +190,16 @@ def _coeff(v) -> Fraction:
 def parse_poly(src) -> BiPoly:
     """Bivariate polynomial from a grammar string or a term list."""
     if isinstance(src, str):
-        return _Parser(_tokenize(src)).parse()
+        try:
+            return _Parser(_tokenize(src)).parse()
+        except RecursionError:
+            raise ParseError("polynomial is nested too deeply") from None
     if isinstance(src, list):
         terms = []
         for t in src:
             if not (isinstance(t, list) and len(t) == 3):
                 raise ParseError(f"bivariate term must be [e1, e2, coeff], got {t!r}")
-            terms.append((int(t[0]), int(t[1]), _coeff(t[2])))
+            terms.append((_exponent(t[0]), _exponent(t[1]), _coeff(t[2])))
         return BiPoly(terms)
     raise ParseError(f"polynomial must be a string or a term list, got {src!r}")
 
@@ -202,7 +211,8 @@ def parse_unipoly(src) -> UniPoly:
         for t in src:
             if not (isinstance(t, list) and len(t) == 2):
                 raise ParseError(f"univariate term must be [e, coeff], got {t!r}")
-            coeffs[int(t[0])] = coeffs.get(int(t[0]), Fraction(0)) + _coeff(t[1])
+            e = _exponent(t[0])
+            coeffs[e] = coeffs.get(e, Fraction(0)) + _coeff(t[1])
         arr = [Fraction(0)] * (max(coeffs, default=-1) + 1)
         for e, c in coeffs.items():
             arr[e] = c
@@ -221,12 +231,19 @@ def _to_unipoly(p: BiPoly) -> UniPoly:
 
 
 class ProblemFile:
-    """Parsed problem: curve, optional queries, and options."""
+    """Parsed problem: curve and optional queries."""
 
-    def __init__(self, curve: OneDimParam, queries: ZeroDimParam | None, options: dict):
+    def __init__(self, curve: OneDimParam, queries: ZeroDimParam | None):
         self.curve = curve
         self.queries = queries
-        self.options = options
+
+
+def _typed(value, kind, what):
+    """value if it is a JSON value of the given kind, else a ParseError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {int: "an integer", dict: "an object", list: "a list"}[kind]
+        raise ParseError(f"{what} must be {name}, got {value!r}")
+    return value
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -234,27 +251,29 @@ def parse_problem(text: str) -> ProblemFile:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("problem file must be a JSON object")
     try:
-        n = int(data["n"])
-        curve_d = data["curve"]
+        n = _typed(data["n"], int, "'n'")
+        curve_d = _typed(data["curve"], dict, "'curve'")
         omega = parse_poly(curve_d["omega"])
-        rhos = tuple(parse_poly(r) for r in curve_d.get("rhos", []))
     except KeyError as e:
         raise ParseError(f"missing required field {e.args[0]!r}") from None
+    rhos = tuple(parse_poly(r) for r in _typed(curve_d.get("rhos", []), list, "'rhos'"))
     curve = OneDimParam(n, omega, rhos)
     queries = None
     if data.get("queries") is not None:
-        qd = data["queries"]
+        qd = _typed(data["queries"], dict, "'queries'")
         try:
             lam = parse_unipoly(qd["lambda"])
         except KeyError:
             raise ParseError("queries object requires a 'lambda' field") from None
-        thetas = tuple(parse_unipoly(t) for t in qd.get("thetas", []))
+        thetas = tuple(parse_unipoly(t)
+                       for t in _typed(qd.get("thetas", []), list, "'thetas'"))
         queries = ZeroDimParam(n, lam, thetas)
-    options = dict(data.get("options", {}))
-    return ProblemFile(curve, queries, options)
+    return ProblemFile(curve, queries)
 
 
 def serialize_problem(pf: ProblemFile) -> str:
@@ -270,8 +289,6 @@ def serialize_problem(pf: ProblemFile) -> str:
             "lambda": _uni_terms(pf.queries.lam),
             "thetas": [_uni_terms(t) for t in pf.queries.thetas],
         }
-    if pf.options:
-        data["options"] = pf.options
     return json.dumps(data, indent=2, sort_keys=True)
 
 

@@ -19,7 +19,6 @@ from .errors import BothZero, DegenerateInput, ZeroDenominator, ZeroInput
 __all__ = [
     "UniPoly",
     "BiPoly",
-    "derivative",
     "partial",
     "gcd",
     "squarefree_part",
@@ -56,10 +55,6 @@ class UniPoly:
     @classmethod
     def one(cls) -> "UniPoly":
         return cls([1])
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -258,10 +253,6 @@ class BiPoly:
         return max((e2 for _, e2 in self._terms), default=-1)
 
     @classmethod
-    def from_unipoly_x1(cls, p: UniPoly) -> "BiPoly":
-        return cls([(i, 0, c) for i, c in enumerate(p.coeffs)])
-
-    @classmethod
     def from_coeffs_x2(cls, coeffs) -> "BiPoly":
         """Build from a list of UniPoly in x1, index = x2 exponent."""
         terms = []
@@ -389,11 +380,6 @@ def _iv_pow(iv, e):
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def derivative(p: UniPoly) -> UniPoly:
-    """Formal derivative of a univariate polynomial."""
-    return p.derivative()
 
 
 def partial(p: BiPoly, which: str) -> BiPoly:

@@ -32,7 +32,6 @@ __all__ = [
     "isolate",
     "refine",
     "sturm_count",
-    "common_roots",
     "sign_at",
     "fiber_roots",
 ]
@@ -85,9 +84,6 @@ class AlgebraicNumber:
     def from_rational(cls, r, width=Fraction(1, 2)) -> "AlgebraicNumber":
         r = Fraction(r)
         return cls(UniPoly([-r, 1]), Interval(r - width, r + width))
-
-    def approx(self, eps=Fraction(1, 10**6)) -> Fraction:
-        return refine(self, eps).isol.mid
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +389,6 @@ def sign_at(p: UniPoly, a: AlgebraicNumber) -> int:
         if vhi < 0:
             return -1
         cur = _bisect_once(cur)
-
-
-def common_roots(p: UniPoly, q: UniPoly):
-    """Which real roots of p (by index in isolate(p)) are also roots of q."""
-    g = gcd(p, q) if not q.is_zero else p.monic()
-    roots = isolate(p)
-    if g.degree < 1:
-        return {i: False for i in range(len(roots))}
-    return {i: sign_at(g, r) == 0 for i, r in enumerate(roots)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,16 @@ attached to the unique multiple ordinate of a critical fiber.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GenericityViolation
 from .params import OneDimParam, ZeroDimParam
-from .polynomials import (
-    UniPoly,
-    eval_fiber,
-    first_subresultant_x2,
-    homogenized_substitute,
-    partial,
-    resultant_x2,
-    squarefree_part,
-)
+from .polynomials import UniPoly, eval_fiber, homogenized_substitute, squarefree_part
 from . import realroot
 from .realroot import AlgebraicNumber, FiberPoint, fiber_roots, isolate, sign_at
 
-__all__ = ["Vertex", "TopologyGraph", "topo2d", "fiber_of"]
+__all__ = ["Vertex", "TopologyGraph", "topo2d"]
 
 REGULAR = "regular"
 X_CRITICAL = "x_critical"
@@ -44,12 +34,6 @@ class Vertex:
     y: FiberPoint
     kind: str
     fiber_index: int
-
-    @property
-    def x_box(self):
-        if isinstance(self.x, AlgebraicNumber):
-            return (self.x.isol.lo, self.x.isol.hi)
-        return (Fraction(self.x), Fraction(self.x))
 
 
 @dataclass
@@ -81,20 +65,6 @@ class TopologyGraph:
         return len(self.neighbors(vid))
 
 
-def fiber_of(G: TopologyGraph, abscissa_index: int):
-    """Vertex ids of one fiber, sorted by ordinate (construction order)."""
-    if abscissa_index < 0 or abscissa_index >= len(G.fibers):
-        return []
-    return list(G.fibers[abscissa_index])
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CCQ_THREADS", "4")))
-    except ValueError:
-        return 4
-
-
 def _fp_equals_rational(fp: FiberPoint, v: Fraction) -> bool:
     if fp.exact is not None:
         return fp.exact == v
@@ -112,24 +82,19 @@ def topo2d(C: OneDimParam, P2: ZeroDimParam | None, q_app: UniPoly) -> TopologyG
     them; edges join vertically-adjacent branches of consecutive fibers.
     """
     w = C.omega
-    wy = partial(w, "x2")
-    d2 = w.deg_x2
-    if d2 < 1:
+    if w.deg_x2 < 1:
         raise GenericityViolation("omega does not involve x2")
-    R = resultant_x2(w, wy) if d2 >= 2 else UniPoly.one()
-    if R.is_zero:
+    E = C.elimination
+    if E.R.is_zero:
         raise GenericityViolation("vanishing resultant: omega not square-free")
-    if d2 >= 2:
-        sr1, sr10 = first_subresultant_x2(w, wy)
-    else:
-        sr1, sr10 = UniPoly.one(), UniPoly.zero()
+    R = E.R
     lam = P2.lam if P2 is not None else UniPoly.one()
     theta2 = P2.thetas[0] if P2 is not None and P2.thetas else UniPoly.zero()
 
     prod = R * lam
     specials = []
     if prod.degree >= 1:
-        specials = isolate(squarefree_part(prod))
+        specials = isolate(squarefree_part(prod) if lam.degree >= 1 else E.R_star)
     for a in specials:
         is_crit = R.degree >= 1 and sign_at(R, a) == 0
         is_ctrl = lam.degree >= 1 and sign_at(lam, a) == 0
@@ -153,22 +118,16 @@ def topo2d(C: OneDimParam, P2: ZeroDimParam | None, q_app: UniPoly) -> TopologyG
         if i < len(specials):
             abscissas.append(("special", specials[i]))
 
-    def build_fiber(entry):
-        kind, x = entry
+    def build_fiber(kind, x):
         if kind == "sample":
             p = eval_fiber(w, x)
             pts = [(realroot._fiber_point_from_algebraic(r, 1), 1)
                    for r in (isolate(p) if p.degree >= 1 else [])]
             return pts
-        hint = (sr1, sr10) if (R.degree >= 1 and sign_at(R, x) == 0) else None
+        hint = (E.sr1, E.sr10) if (R.degree >= 1 and sign_at(R, x) == 0) else None
         return fiber_roots(w, x, multiple_root_hint=hint)
 
-    workers = _worker_count()
-    if workers > 1 and len(abscissas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fibers_pts = list(pool.map(build_fiber, abscissas))
-    else:
-        fibers_pts = [build_fiber(e) for e in abscissas]
+    fibers_pts = [build_fiber(kind, x) for kind, x in abscissas]
 
     G = TopologyGraph()
     multi_index = []  # per fiber: index of the multiplicity-2 point, or None

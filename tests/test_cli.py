@@ -1,14 +1,17 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
-from ccq import cli
+from ccq import cli, polynomials
 from ccq.errors import DegenerateCurve, ParseError
 from ccq.parsing import parse_problem, serialize_problem
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 ALL_NAMES = sorted(p.stem for p in CORPUS.glob("*.json"))
+COMMANDS = ("validate", "appsing", "topo", "connect")
+CIRCLE = {"omega": "x2^2 + x1^2 - 1"}
 
 
 def run(capsys, *argv):
@@ -46,6 +49,32 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "connect", "/nonexistent.json")
         assert code == 3
+
+    @pytest.mark.parametrize("problem", [
+        {"n": "abc", "curve": CIRCLE},
+        {"n": 2.5, "curve": CIRCLE},
+        {"n": 2, "curve": []},
+        {"n": 3, "curve": {"omega": "x2^2 + x1^2 - 1", "rhos": "1"}},
+        {"n": 2, "curve": CIRCLE, "queries": {"lambda": [[-2, "1"]]}},
+        {"n": 2, "curve": {"omega": [["a", 2, "1"]]}},
+        {"n": 2, "curve": {"omega": "(" * 3000 + "x2" + ")" * 3000}},
+        '{"n": 2, "curve": {"omega": ' + "[" * 100000 + "]" * 100000 + "}}",
+    ], ids=["n_string", "n_float", "curve_list", "rhos_string",
+            "negative_exponent", "string_exponent", "deep_grammar", "deep_json"])
+    def test_malformed_problem(self, capsys, tmp_path, problem):
+        f = tmp_path / "malformed.json"
+        f.write_text(problem if isinstance(problem, str) else json.dumps(problem))
+        code, _, err = run(capsys, "validate", str(f))
+        assert code == 3
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_not_square_free(self, capsys, tmp_path, command):
+        f = tmp_path / "double.json"
+        f.write_text(json.dumps({"n": 2, "curve": {"omega": "(x2^2 - x1)^2"}}))
+        code, out, err = run(capsys, command, str(f), "--components-only")
+        assert code == 2
+        assert "NotSquareFree" in out + err
 
     def test_genericity_violation(self, capsys, tmp_path):
         f = tmp_path / "crit.json"
@@ -137,6 +166,30 @@ class TestCommands:
         code, out, _ = run(capsys, "connect", str(CORPUS / f"{name}.json"))
         assert code == 0
         assert json.loads(out) == want
+
+
+class TestElimination:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_elimination_per_command(self, capsys, monkeypatch, command):
+        calls = {"resultant_x2": 0, "first_subresultant_x2": 0}
+        for name in calls:
+            fn = getattr(polynomials, name)
+
+            def counted(*args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(*args)
+
+            # imported names are looked up in the importing module's globals
+            for mod in list(sys.modules.values()):
+                mod_name = getattr(mod, "__name__", "")
+                if mod_name == "ccq" or mod_name.startswith("ccq."):
+                    for key, value in list(vars(mod).items()):
+                        if value is fn:
+                            monkeypatch.setattr(mod, key, counted)
+        code, _, _ = run(capsys, command, str(CORPUS / "nodal_cubic_space.json"))
+        assert code == 0
+        assert calls["resultant_x2"] == 1
+        assert calls["first_subresultant_x2"] <= 1
 
 
 class TestParsing:

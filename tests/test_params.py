@@ -63,11 +63,6 @@ class TestValidateZeroDim:
         rep = validate_zero_dim(ZeroDimParam(3, UniPoly([-1, 1]), (UniPoly([1]),)))
         assert any("ArityViolation" in v for v in rep.violations)
 
-    def test_points_exact(self):
-        # roots 3 and 8, theta encodes x2 = t^3 - t at t = 2, -3
-        P = ZeroDimParam(2, UniPoly([24, -11, 1]), (UniPoly([24, -18]),))
-        assert P.points_exact() == [(F(3), F(6)), (F(8), F(-24))]
-
 
 class TestValidateOneDim:
     def test_circle_ok(self):

@@ -9,7 +9,6 @@ from ccq.polynomials import BiPoly, UniPoly, first_subresultant_x2, partial
 from ccq.realroot import (
     AlgebraicNumber,
     Interval,
-    common_roots,
     fiber_roots,
     isolate,
     refine,
@@ -121,29 +120,6 @@ class TestSignAt:
             if abs(v) < 1e-6:
                 continue
             assert sign_at(p, s2) == (1 if v > 0 else -1)
-
-
-class TestCommonRoots:
-    def test_examples(self):
-        p = UniPoly([0, 1, 1])
-        assert common_roots(p, UniPoly([0, 1])) == {0: False, 1: True}
-        assert common_roots(p, UniPoly([7, 1, 3])) == {0: False, 1: False}
-        assert common_roots(p, p) == {0: True, 1: True}
-
-    def test_brute_force_interval_match(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            rs_p = sorted(rng.sample(range(-6, 7), 3))
-            rs_q = sorted(rng.sample(range(-6, 7), 3))
-            p = UniPoly([1])
-            for r in rs_p:
-                p = p * UniPoly([-r, 1])
-            q = UniPoly([1])
-            for r in rs_q:
-                q = q * UniPoly([-r, 1])
-            got = common_roots(p, q)
-            want = {i: (r in rs_q) for i, r in enumerate(rs_p)}
-            assert got == want
 
 
 class TestFiberRoots:

@@ -14,7 +14,6 @@ from ccq.topology import (
     CONTROL,
     REGULAR,
     X_CRITICAL,
-    fiber_of,
     topo2d,
 )
 
@@ -79,11 +78,6 @@ class TestCircle:
             == [REGULAR, REGULAR, X_CRITICAL, X_CRITICAL]
         assert G.v_app == [] and G.v_ctrl == []
         assert_structural(G)
-
-    def test_fiber_of(self):
-        G = build(load("circle"))
-        assert fiber_of(G, 2) == G.fibers[2]
-        assert fiber_of(G, -1) == [] and fiber_of(G, 99) == []
 
     def test_query_control(self):
         G = build(load("circle_query"))
