@@ -37,10 +37,6 @@ class DegenerateCurve(CcqError):
     """The curve polynomial is not square-free (vanishing discriminant)."""
 
 
-class CriticalPoint(CcqError):
-    """Lifting denominator vanishes at the requested point."""
-
-
 class ParseError(CcqError):
     """Input text could not be parsed; carries line/column anchors."""
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import CriticalPoint
 from .polynomials import (
     BiPoly,
     UniPoly,
-    eval_fiber,
     first_subresultant_x2,
     gcd,
     homogenized_substitute,
@@ -28,7 +26,7 @@ from .polynomials import (
     squarefree_part,
 )
 from . import realroot
-from .realroot import AlgebraicNumber, sign_at
+from .realroot import sign_at
 
 __all__ = [
     "ZeroDimParam",
@@ -38,7 +36,6 @@ __all__ = [
     "validate_zero_dim",
     "validate_one_dim",
     "genericity_report",
-    "lift_plane_point",
 ]
 
 
@@ -253,86 +250,3 @@ def genericity_report(C: OneDimParam, P: ZeroDimParam | None = None):
     checks.append(("projection_injectivity_H3", "unknown"))
     checks.append(("no_singular_secants_H6", "unknown"))
     return checks
-
-
-def _as_algebraic(v):
-    if isinstance(v, AlgebraicNumber):
-        return v
-    return AlgebraicNumber.from_rational(Fraction(v))
-
-
-def lift_plane_point(C: OneDimParam, y, eps=Fraction(1, 10**6)):
-    """Lift a plane point (x1, x2) of the projected curve back to R^n.
-
-    Each entry of the result is either an exact Fraction or an interval pair
-    (lo, hi) of width below eps.  Raises CriticalPoint when the lifting
-    denominator, the x2-partial of omega, vanishes at y.
-    """
-    eps = Fraction(eps)
-    a, b = y
-    dw = C.d_omega_x2
-    a_rat = not isinstance(a, AlgebraicNumber) or a.is_rational
-    b_rat = not isinstance(b, AlgebraicNumber) or b.is_rational
-    av = (a.value if isinstance(a, AlgebraicNumber) else Fraction(a)) if a_rat else None
-    bv = (b.value if isinstance(b, AlgebraicNumber) else Fraction(b)) if b_rat else None
-
-    if a_rat and b_rat:
-        den = dw.eval(av, bv)
-        if den == 0:
-            raise CriticalPoint("x2-partial of omega vanishes at the lift point")
-        return [av, bv] + [r.eval(av, bv) / den for r in C.rhos]
-
-    if a_rat != b_rat:
-        # one algebraic coordinate: ratios of univariate polynomials at it
-        if a_rat:
-            alg = b
-            den_p = eval_fiber(dw, av)
-            nums = [eval_fiber(r, av) for r in C.rhos]
-        else:
-            alg = a
-            den_p = _eval_x2(dw, bv)
-            nums = [_eval_x2(r, bv) for r in C.rhos]
-        if sign_at(den_p, alg) == 0:
-            raise CriticalPoint("x2-partial of omega vanishes at the lift point")
-        out = [av if a_rat else (a.isol.lo, a.isol.hi),
-               bv if b_rat else (b.isol.lo, b.isol.hi)]
-        holder = realroot._AlphaHolder(alg)
-        coords = [realroot.ratio_point(holder, n_, den_p) for n_ in nums]
-        for fp in coords:
-            while fp.width >= eps:
-                fp.refine()
-            out.append((fp.lo, fp.hi))
-        return out
-
-    # both coordinates algebraic: box arithmetic on the product interval
-    aa, bb = a, b
-    for _ in range(10_000):
-        box = ((aa.isol.lo, aa.isol.hi), (bb.isol.lo, bb.isol.hi))
-        dlo, dhi = dw.eval_interval(box)
-        if dlo > 0 or dhi < 0:
-            out = [(aa.isol.lo, aa.isol.hi), (bb.isol.lo, bb.isol.hi)]
-            done = True
-            for r in C.rhos:
-                nlo, nhi = r.eval_interval(box)
-                cands = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
-                lo, hi = min(cands), max(cands)
-                if hi - lo >= eps:
-                    done = False
-                    break
-                out.append((lo, hi))
-            if done:
-                return out
-        aa = realroot._bisect_once(aa)
-        bb = realroot._bisect_once(bb)
-    raise CriticalPoint("could not separate the lifting denominator from zero")
-
-
-def _eval_x2(p: BiPoly, b: Fraction) -> UniPoly:
-    """Substitute x2 = b, leaving a polynomial in x1."""
-    cs = {}
-    for e1, e2, c in p.terms():
-        cs[e1] = cs.get(e1, Fraction(0)) + c * b**e2
-    arr = [Fraction(0)] * (max(cs) + 1 if cs else 0)
-    for e1, c in cs.items():
-        arr[e1] = c
-    return UniPoly(arr)

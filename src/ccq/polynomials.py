@@ -252,15 +252,6 @@ class BiPoly:
     def deg_x2(self) -> int:
         return max((e2 for _, e2 in self._terms), default=-1)
 
-    @classmethod
-    def from_coeffs_x2(cls, coeffs) -> "BiPoly":
-        """Build from a list of UniPoly in x1, index = x2 exponent."""
-        terms = []
-        for e2, p in enumerate(coeffs):
-            for e1, c in enumerate(p.coeffs):
-                terms.append((e1, e2, c))
-        return cls(terms)
-
     def coeffs_x2(self):
         """Coefficients w.r.t. x2 as UniPoly in x1, index = x2 exponent."""
         if self.is_zero:

@@ -2,8 +2,13 @@
 
 Roots are isolated with integer Descartes bisection on square-free input and
 represented as `AlgebraicNumber` (square-free defining polynomial plus an
-isolating interval with non-root endpoints).  Rational roots are detected and
-carried with a degree-1 defining polynomial.
+isolating interval with non-root endpoints).  Rational roots are carried with
+a degree-1 defining polynomial.  They are found without factoring any
+coefficient: a rational root of a primitive integer polynomial with leading
+coefficient lc lies on the grid Z/lc, so a binary search over the grid points
+inside each Descartes box either hits the box's root or proves it irrational.
+The irrational roots share the rational-root-free cofactor as their defining
+polynomial.
 
 Fibers omega(alpha, .) above an algebraic abscissa alpha are handled without
 algebraic-extension arithmetic: the known double ordinate is deflated through
@@ -14,6 +19,7 @@ exactly at alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,16 +97,11 @@ class AlgebraicNumber:
 
 
 def _int_coeffs(p: UniPoly):
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    return [int(c * den) for c in p.coeffs]
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    """Coprime integer coefficients of a positive multiple of p, lc > 0."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    cs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if cs[-1] > 0 else [-c // g for c in cs]
 
 
 def _var(cs) -> int:
@@ -158,62 +159,104 @@ def _descartes_01(q):
     return out
 
 
-def _root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound 1 + max|c_i| / |lc|; all real roots lie inside (-B, B)."""
-    if p.degree <= 0:
-        return Fraction(1)
-    lead = abs(p.lc)
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else Fraction(0)
-    b = 1 + m / lead
-    return Fraction(b.numerator // b.denominator + 1)
+def _root_bound(cs) -> int:
+    """An integer B > 1 + max|c_i| / lc; all real roots lie inside (-B, B)."""
+    return 2 + max(abs(c) for c in cs[:-1]) // cs[-1]
 
 
-def _compose_affine(p: UniPoly, a: Fraction, c: Fraction) -> UniPoly:
-    """p(a + c*x) via Horner over polynomials."""
-    x = UniPoly([a, c])
-    acc = UniPoly.zero()
-    for coef in reversed(p.coeffs):
-        acc = acc * x + coef
+def _compose_affine(cs, a: int, c: int):
+    """Integer coefficients of p(a + c*x) via Horner over polynomials."""
+    acc = []
+    for coef in reversed(cs):
+        nxt = [a * v for v in acc] + [0]
+        for i, v in enumerate(acc):
+            nxt[i + 1] += c * v
+        nxt[0] += coef
+        acc = nxt
     return acc
 
 
-def _divisors(n: int, budget: int = 200_000):
-    """Positive divisors of |n|; partial if trial division exceeds the budget."""
-    n = abs(n)
-    out = {1}
-    i = 1
-    while i * i <= n and i <= budget:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return out
+def _descartes_boxes(cs):
+    """Descartes isolation of the real roots of integer cs (lc > 0).
+
+    Returns (exact dyadic roots, open boxes (lo, hi) holding one root each).
+    """
+    B = _root_bound(cs)
+    rats, boxes = [], []
+    for item in _descartes_01(_compose_affine(cs, -B, 2 * B)):
+        if item[0] == "rat":
+            rats.append(-B + 2 * B * item[1])
+        else:
+            _, c, k = item
+            boxes.append((-B + 2 * B * Fraction(c, 1 << k),
+                          -B + 2 * B * Fraction(c + 1, 1 << k)))
+    return rats, boxes
 
 
-def _extract_rational_roots(p: UniPoly):
+def _horner(cs, x):
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _grid_root(d, lo: Fraction, hi: Fraction, lc: int):
+    """The integer k with lo < k/lc < hi and sum d_i k^i = 0, or None.
+
+    d are the ascending coefficients of lc^n p(k/lc); p has exactly one root
+    in (lo, hi) and it is simple, so the sign changes once along the grid.
+    """
+    a = math.floor(lo * lc) + 1
+    b = math.ceil(hi * lc) - 1
+    if a > b:
+        return None
+    fa, fb = _horner(d, a), _horner(d, b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if (fa > 0) == (fb > 0):
+        return None
+    while b - a > 1:
+        m = (a + b) // 2
+        fm = _horner(d, m)
+        if fm == 0:
+            return m
+        if (fm > 0) == (fa > 0):
+            a = m
+        else:
+            b = m
+    return None
+
+
+def _extract_rational_roots(cs, rats, boxes):
     """Split off the rational roots of a square-free polynomial.
 
-    Returns (sorted rational roots, monic cofactor with the remaining roots).
-    Uses the rational root theorem on cleared-denominator coefficients.
+    `cs` are its coprime integer coefficients with leading coefficient
+    lc > 0, and `rats` and `boxes` its Descartes isolation.  Returns (sorted
+    rational roots, coprime integer coefficients of the cofactor holding the
+    other roots).  A rational root u/v in lowest terms has v | lc, so it lies
+    on the grid Z/lc: the root in each box is found on that grid by binary
+    search on the exact sign of lc^n p(k/lc), or is irrational when no grid
+    point in the box is a root.
     """
-    roots = []
-    cs = _int_coeffs(p)
-    while cs and cs[0] == 0:
-        roots.append(Fraction(0))
-        cs = cs[1:]
-    if len(cs) <= 1:
-        return sorted(roots), UniPoly.one()
-    cand = set()
-    for u in _divisors(cs[0]):
-        for v in _divisors(cs[-1]):
-            cand.add(Fraction(u, v))
-            cand.add(Fraction(-u, v))
-    q = UniPoly([Fraction(c) for c in cs]).monic()
-    for r in sorted(cand):
-        if q(r) == 0:
-            roots.append(r)
-            q = q.exact_div(UniPoly([-r, 1]))
-    return sorted(roots), q
+    lc, n = cs[-1], len(cs) - 1
+    d = [c * lc ** (n - i) for i, c in enumerate(cs)]
+    rats = list(rats)
+    for lo, hi in boxes:
+        k = _grid_root(d, lo, hi, lc)
+        if k is not None:
+            rats.append(Fraction(k, lc))
+    for r in rats:
+        # exact division by v x - u; Gauss's lemma keeps the quotient integer
+        # and coprime, with leading coefficient lc / v > 0
+        u, v = r.numerator, r.denominator
+        quo, acc = [0] * (len(cs) - 1), 0
+        for i in range(len(cs) - 1, 0, -1):
+            acc = (cs[i] + u * acc) // v
+            quo[i - 1] = acc
+        cs = quo
+    return sorted(rats), cs
 
 
 def isolate(p: UniPoly):
@@ -228,44 +271,26 @@ def isolate(p: UniPoly):
         return []
     if gcd(p, p.derivative()).degree > 0:
         raise NotSquareFree("isolate requires square-free input")
-    p = p.monic()
-    rats, q = _extract_rational_roots(p)
+    cs = _int_coeffs(p)
+    found, boxes = _descartes_boxes(cs)
+    rats, qcs = _extract_rational_roots(cs, found, boxes)
+    if rats:
+        # q has no rational root: its Descartes pass yields boxes only, and
+        # no dyadic endpoint or midpoint below is a root of q
+        boxes = _descartes_boxes(qcs)[1] if len(qcs) > 1 else []
+    q = UniPoly(qcs).monic()
 
-    boxes = []
-    if q.degree >= 1:
-        B = _root_bound(q)
-        qt = _compose_affine(q, -B, 2 * B)
-        for item in _descartes_01(_int_coeffs(qt)):
-            if item[0] == "rat":
-                # possible only when the divisor budget truncated extraction
-                rats = sorted(rats + [-B + 2 * B * item[1]])
-                continue
-            _, c, k = item
-            lo = -B + 2 * B * Fraction(c, 1 << k)
-            hi = -B + 2 * B * Fraction(c + 1, 1 << k)
-            lo, hi, exact = _fix_endpoints(q, lo, hi)
-            if exact is not None:
-                rats = sorted(rats + [exact])
-                continue
-            boxes.append((lo, hi))
-        # shrink boxes until no known rational root sits inside
-        shrunk = []
-        for lo, hi in boxes:
-            dropped = False
-            while any(lo <= r <= hi for r in rats):
-                m = (lo + hi) / 2
-                if q(m) == 0:
-                    # the box's root itself turned out rational
-                    rats = sorted(rats + [m])
-                    dropped = True
-                    break
-                if _sgn(q(m)) == _sgn(q(lo)):
-                    lo = m
-                else:
-                    hi = m
-            if not dropped:
-                shrunk.append((lo, hi))
-        boxes = shrunk
+    # shrink boxes until no rational root sits inside
+    shrunk = []
+    for lo, hi in boxes:
+        while any(lo <= r <= hi for r in rats):
+            m = (lo + hi) / 2
+            if _sgn(q(m)) == _sgn(q(lo)):
+                lo = m
+            else:
+                hi = m
+        shrunk.append((lo, hi))
+    boxes = shrunk
 
     positions = sorted([(r, "rat", r) for r in rats] +
                        [((lo + hi) / 2, "box", (lo, hi)) for lo, hi in boxes])
@@ -287,31 +312,6 @@ def isolate(p: UniPoly):
                 d = min(d, (edge - r) / 4)
             roots.append(AlgebraicNumber(UniPoly([-r, 1]), Interval(r - d, r + d)))
     return roots
-
-
-def _fix_endpoints(p: UniPoly, lo: Fraction, hi: Fraction):
-    """Shrink (lo, hi) holding one root of p until both endpoints are non-roots.
-
-    Returns (lo, hi, exact) where exact is set if the root turned out rational.
-    """
-    while p(lo) == 0 or p(hi) == 0:
-        m = (lo + hi) / 2
-        vm = p(m)
-        if vm == 0:
-            return lo, hi, m
-        if p(lo) == 0:
-            vh = p(hi)
-            if vh != 0 and _sgn(vm) != _sgn(vh):
-                lo = m
-            else:
-                hi = m
-        else:
-            vl = p(lo)
-            if _sgn(vm) != _sgn(vl):
-                hi = m
-            else:
-                lo = m
-    return lo, hi, None
 
 
 def refine(a: AlgebraicNumber, eps) -> AlgebraicNumber:

@@ -156,6 +156,20 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["components"] == 3
 
+    def test_six_apparent_nodes(self, capsys, tmp_path):
+        # two parabolas and a line cross in six points, all at irrational
+        # abscissas and all apparent in the lift
+        f = tmp_path / "six.json"
+        f.write_text(json.dumps({"n": 3, "curve": {
+            "omega": "(x2 - x1^2 + 2)*(x2 - 1/3*x1)*(x2 + 1/2*x1^2 - 5)",
+            "rhos": ["x1^2 - 1/3*x1 - 2"]}}))
+        code, out, _ = run(capsys, "connect", str(f), "--components-only")
+        assert code == 0
+        assert json.loads(out)["components"] == 3
+        code, out, _ = run(capsys, "appsing", str(f))
+        assert code == 0
+        assert len(json.loads(out)["roots"]) == 6
+
     @pytest.mark.parametrize("name, want", [
         ("concentric_circles", {"components": 2, "partition": [[1], [2]]}),
         ("nodal_cubic_space_wide", {"components": 1, "partition": [[1, 2]]}),

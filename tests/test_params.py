@@ -1,19 +1,13 @@
-import random
 from fractions import Fraction as F
 
-import pytest
-
-from ccq.errors import CriticalPoint
 from ccq.params import (
     OneDimParam,
     ZeroDimParam,
     genericity_report,
-    lift_plane_point,
     validate_one_dim,
     validate_zero_dim,
 )
 from ccq.polynomials import BiPoly, UniPoly
-from ccq.realroot import AlgebraicNumber, isolate
 
 CIRCLE = OneDimParam(2, BiPoly([(2, 0, 1), (0, 2, 1), (0, 0, -1)]), ())
 # (t^2 - 1, t^3 - t, t): x3 = rho3 / (d omega / d x2)
@@ -21,11 +15,6 @@ NODAL3 = OneDimParam(
     3,
     BiPoly([(0, 2, 1), (3, 0, -1), (2, 0, -1)]),
     (BiPoly([(2, 0, 2), (1, 0, 2)]),),
-)
-TWISTED = OneDimParam(
-    3,
-    BiPoly([(0, 1, 1), (2, 0, -1)]),
-    (BiPoly([(3, 0, 1)]),),
 )
 
 
@@ -149,51 +138,3 @@ class TestGenericityReport:
         C = OneDimParam(2, BiPoly([(0, 1, 1), (1, 0, -1)]) ** 2, ())
         rep = dict(genericity_report(C))
         assert rep["resultant_nonzero"] == "fail"
-
-
-class TestLiftPlanePoint:
-    def test_rational_examples(self):
-        assert lift_plane_point(NODAL3, (F(3), F(6))) == [F(3), F(6), F(2)]
-        assert lift_plane_point(NODAL3, (F(8), F(-24))) == [F(8), F(-24), F(-3)]
-
-    def test_critical_point(self):
-        with pytest.raises(CriticalPoint):
-            lift_plane_point(NODAL3, (F(0), F(0)))
-
-    def test_random_rational_parameters(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            t = F(rng.randint(-40, 40), rng.randint(1, 9))
-            if t in (-1, 0, 1):
-                continue
-            x1, x2 = t * t - 1, t**3 - t
-            assert lift_plane_point(NODAL3, (x1, x2)) == [x1, x2, t]
-
-    def test_twisted_cubic(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            t = F(rng.randint(-30, 30), rng.randint(1, 7))
-            assert lift_plane_point(TWISTED, (t, t * t)) == [t, t * t, t**3]
-
-    def test_mixed_algebraic(self):
-        # x1 = 1, x2 = sqrt(2): the parameter t = x3 is sqrt(2) as well
-        s2 = isolate(UniPoly([-2, 0, 1]))[1]
-        eps = F(1, 10**8)
-        out = lift_plane_point(NODAL3, (F(1), s2), eps)
-        assert out[0] == F(1)
-        lo, hi = out[2]
-        assert hi - lo < eps
-        assert float(lo) < 2 ** 0.5 < float(hi)
-
-    def test_both_algebraic(self):
-        # omega = x2^2 - x1, x3 = x1 / (2 x2); at (sqrt(2), 2^(1/4)) the
-        # third coordinate is 2^(1/4) / 2
-        C = OneDimParam(3, BiPoly([(0, 2, 1), (1, 0, -1)]),
-                        (BiPoly([(1, 0, 1)]),))
-        a = isolate(UniPoly([-2, 0, 1]))[1]
-        b = isolate(UniPoly([-2, 0, 0, 0, 1]))[1]
-        eps = F(1, 10**6)
-        out = lift_plane_point(C, (a, b), eps)
-        lo, hi = out[2]
-        assert hi - lo < eps
-        assert float(lo) < 2 ** 0.25 / 2 < float(hi)

@@ -91,7 +91,9 @@ class TestBiPoly:
         assert p == UniPoly([-12, 0, 1])
 
     def test_coeffs_roundtrip(self):
-        assert BiPoly.from_coeffs_x2(NODAL.coeffs_x2()) == NODAL
+        terms = [(e1, e2, c) for e2, p in enumerate(NODAL.coeffs_x2())
+                 for e1, c in enumerate(p.coeffs)]
+        assert BiPoly(terms) == NODAL
 
     def test_interval_eval(self):
         box = ((F(0), F(1)), (F(0), F(1)))

@@ -1,8 +1,10 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ccq.errors import GenericityViolation, NotSquareFree, RootAtEndpoint, ZeroInput
 from ccq.polynomials import BiPoly, UniPoly, first_subresultant_x2, partial
@@ -21,6 +23,72 @@ SQRT2 = UniPoly([-2, 0, 1])
 
 def _sqrt2():
     return isolate(SQRT2)[1]
+
+
+# products of distinct linear factors (v x - u) and distinct irreducible
+# quadratics, with their real roots known by construction
+_PRIMES = (200003, 200009, 200017, 200023)
+_denominators = st.one_of(
+    st.integers(1, 12),
+    st.integers(1, 10**12),
+    st.tuples(st.sampled_from(_PRIMES), st.sampled_from(_PRIMES)).map(math.prod),
+    st.integers(0, 40).map(lambda j: 1 << j),
+)
+_rational = st.one_of(
+    st.just(F(0)),
+    st.integers(-6, 6).map(F),
+    st.tuples(st.integers(-64, 64), st.integers(0, 6)).map(lambda t: F(t[0], 1 << t[1])),
+    _denominators.flatmap(lambda v: st.integers(-4 * v, 4 * v).map(lambda u: F(u, v))),
+)
+
+
+def _irreducible(abc):
+    a, b, c = abc
+    disc = b * b - 4 * a * c
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
+
+
+def _primitive(abc):
+    g = math.gcd(*abc)
+    return tuple(v // g for v in abc)
+
+
+_quadratic = st.tuples(st.integers(1, 20), st.integers(-30, 30),
+                       st.integers(-30, 30)).filter(_irreducible).map(_primitive)
+
+
+def _products():
+    return st.tuples(st.lists(_rational, max_size=5, unique=True),
+                     st.lists(_quadratic, max_size=2, unique=True)).filter(
+        lambda t: t[0] or t[1])
+
+
+def _product(rationals, quadratics):
+    p = UniPoly([1])
+    for r in rationals:
+        p = p * UniPoly([-r.numerator, r.denominator])
+    for a, b, c in quadratics:
+        p = p * UniPoly([c, b, a])
+    return p
+
+
+def _dec(r):
+    with localcontext() as ctx:
+        ctx.prec = 100
+        return Decimal(r.numerator) / Decimal(r.denominator)
+
+
+def _expected_roots(rationals, quadratics):
+    """Sorted (100-digit key, exact value or None for irrational roots)."""
+    out = [(_dec(r), r) for r in rationals]
+    with localcontext() as ctx:
+        ctx.prec = 100
+        for a, b, c in quadratics:
+            disc = b * b - 4 * a * c
+            if disc > 0:
+                for sign in (-1, 1):
+                    out.append(((-b + sign * Decimal(disc).sqrt()) / (2 * a), None))
+    return sorted(out, key=lambda t: t[0])
 
 
 class TestIsolate:
@@ -67,6 +135,58 @@ class TestIsolate:
             assert len(found) == len(roots)
             assert [a.value for a in found] == [F(r) for r in roots]
             assert sturm_count(p, Interval(F(-100), F(100))) == len(roots)
+
+
+class TestRationalGrid:
+    """Rational roots u/v of an integer polynomial lie on the grid Z/lc."""
+
+    def test_denominators_beyond_trial_division(self):
+        P, Q = 200003, 200009
+        p = UniPoly([-1, P * P * Q]) * UniPoly([-1, P]) * SQRT2
+        roots = isolate(p)
+        assert [r.is_rational for r in roots] == [False, True, True, False]
+        assert [roots[1].value, roots[2].value] == [F(1, P * P * Q), F(1, P)]
+        assert roots[1].defining.degree == roots[2].defining.degree == 1
+        assert roots[0].defining == roots[3].defining == SQRT2
+
+    @given(_products())
+    @example(([F(0), F(1, 3)], []))
+    @example(([F(-1, 2), F(1, 2), F(1, 200003 * 200009)], [(1, 0, -2)]))
+    @example(([F(2 ** 40 + 1, 2 ** 40)], [(3, -1, -1)]))
+    def test_construction(self, factors):
+        rationals, quadratics = factors
+        p = _product(rationals, quadratics)
+        roots = isolate(p)
+        want = _expected_roots(rationals, quadratics)
+        assert len(roots) == len(want)
+        cofactor = UniPoly([1])
+        for a, b, c in quadratics:
+            cofactor = cofactor * UniPoly([c, b, a])
+        for got, (key, exact) in zip(roots, want):
+            assert got.is_rational == (exact is not None)
+            if exact is not None:
+                assert got.value == exact
+            else:
+                assert got.defining == cofactor.monic()
+                assert _dec(got.isol.lo) < key < _dec(got.isol.hi)
+
+    @given(_products())
+    def test_agrees_with_sympy(self, factors):
+        sympy = pytest.importorskip("sympy")
+        p = _product(*factors)
+        x = sympy.Symbol("x")
+        ref = sympy.real_roots(sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x))
+        roots = isolate(p)
+        assert len(roots) == len(ref)
+        for got, r in zip(roots, ref):
+            assert got.is_rational == bool(r.is_rational)
+            if got.is_rational:
+                assert got.value == F(int(r.p), int(r.q))
+            else:
+                lo, hi = (sympy.Rational(v.numerator, v.denominator)
+                          for v in (got.isol.lo, got.isol.hi))
+                assert lo < r < hi
 
 
 class TestRefine:
